@@ -23,7 +23,6 @@ from repro.framework.block_runtime import RunStats
 from repro.framework.engine import SparkEngine
 from repro.framework.local_engine import LocalEngine
 from repro.framework.partition import PARTITIONERS
-from repro.graphs.stats import clean_edges
 
 Edge = tuple[int, int]
 
@@ -87,9 +86,13 @@ class DecomposeResult:
 
 
 def _edges_as_list(edges: DataFrame | list[Edge]) -> list[Edge]:
+    """The edge list to partition. A DataFrame is deduplicated but keeps
+    its self-loops: the engines drop them from the adjacency, but their
+    endpoints are vertices the partition must cover."""
     if isinstance(edges, DataFrame):
-        pdf = clean_edges(edges).toPandas()
-        return list(zip(pdf["src"].tolist(), pdf["dst"].tolist()))
+        cols = [F.col(c).cast("long") for c in edges.columns[:2]]
+        pdf = edges.select(*cols).dropDuplicates().toPandas()
+        return list(zip(pdf.iloc[:, 0].tolist(), pdf.iloc[:, 1].tolist()))
     return list(edges)
 
 
@@ -104,7 +107,7 @@ def decompose(
 ) -> DecomposeResult:
     """Run a full distributed D-core decomposition.
 
-    ``engine="spark"`` runs the cogrouped-shuffle dataflow (requires
+    ``engine="spark"`` runs one grouped Spark job per superstep (requires
     ``spark``); ``engine="local"`` runs the in-process reference engine
     with identical semantics (fast path for tests/CI).
     """
@@ -127,12 +130,16 @@ def decompose(
     else:
         raise ValueError(f"unknown engine {engine!r}")
 
-    if algo == "AC":
-        anchored, stats = run_anchored(eng, mode=mode)
-        skyline = anchored_to_skyline(anchored)
-    else:
-        skyline, stats = run_skyline(eng, mode=mode)
-        anchored = skyline_to_anchored(skyline)
+    try:
+        if algo == "AC":
+            anchored, stats = run_anchored(eng, mode=mode)
+            skyline = anchored_to_skyline(anchored)
+        else:
+            skyline, stats = run_skyline(eng, mode=mode)
+            anchored = skyline_to_anchored(skyline)
+    finally:
+        if engine == "spark":
+            eng.close()
     wall = time.perf_counter() - t0
     return DecomposeResult(
         algo=algo,

@@ -1,26 +1,39 @@
 """Spark distributed engine for the block runtime.
 
-The distributed dataflow per superstep is::
+A superstep is one Spark job over one input, the previous round's
+output::
 
-    state.groupBy("block").cogroup(messages.groupBy("block"))
-         .applyInPandas(round_fn, SCHEMA)
+    out.groupBy("block").applyInPandas(round_fn, SCHEMA)
+       .observe(obs, msgs, volume, changed)
+       .localCheckpoint(eager=True)
 
-i.e. block state and the messages addressed to each block are co-shuffled
-to the same task, which runs the shared
-:func:`repro.framework.block_runtime.run_block_round` and emits both the
-new state rows and the outgoing message rows (tagged by ``kind``). Each
-round's output is materialised to parquet and read back (Pregel-style
-superstep persistence) before being split into state and messages for
-the next round.
+Every output row is either a vertex's state (``kind = 's'``, keyed by its
+owning block) or a message (``kind = 'm'``, keyed by the destination
+block), so grouping the previous output by ``block`` hands each task its
+block's state and its inbox together. ``round_fn`` splits the two by
+``kind``, runs the shared
+:func:`repro.framework.block_runtime.run_block_round` and emits the new
+state rows and the outgoing message rows.
 
-Why parquet and not ``localCheckpoint``: checkpointing a Dataset keeps
-the logical plan's statistics, and Catalyst's size-only estimator takes
-the *product* of child sizes at multi-child nodes — our cogroup doubles
-the ``sizeInBytes`` BigInt's bit-length every round, so by round ~25
-each checkpoint spends minutes multiplying million-digit integers (and
-the cached round outputs accumulate in executor memory). A file
-round-trip resets stats to actual bytes, truncates lineage, and leaves
-nothing cached.
+The round's message count, volume and changed-vertex count are
+aggregated by a :class:`pyspark.sql.Observation` on the round output,
+like Pregel aggregators: they arrive with the barrier instead of costing
+extra actions.
+
+The barrier is ``localCheckpoint(eager=True)``: it computes the round
+once, keeps the rows in executor block storage and cuts the lineage.
+This is safe because the plan has a single input. Catalyst's size-only
+estimator takes the *product* of the children's ``sizeInBytes`` at
+multi-child nodes, and a checkpoint keeps its plan's estimate, so a
+cogroup of state and messages doubled the estimate's bit length every
+round (by round ~25 each checkpoint spent minutes multiplying
+million-digit integers). A chain of unary nodes passes the estimate
+through unchanged.
+
+A local checkpoint stays persisted until its RDD is unpersisted, which
+``DataFrame.unpersist()`` does not do. The engine unpersists each
+round's checkpoint once the next round is materialised, and the last
+one when the run ends; :meth:`SparkEngine.close` frees the adjacency.
 
 Vertex state, neighbor caches and message payloads travel as JSON columns
 — the engine is generic over the program's value type.
@@ -28,13 +41,10 @@ Vertex state, neighbor caches and message payloads travel as JSON columns
 from __future__ import annotations
 
 import json
-import shutil
-import tempfile
-from pathlib import Path
 from typing import Any
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
 from repro.framework.block_runtime import (
@@ -45,6 +55,7 @@ from repro.framework.block_runtime import (
     init_block,
     run_block_round,
 )
+from repro.graphs.stats import clean_edges
 
 _SCHEMA = (
     "kind string, block long, vid long, src long, payload string, "
@@ -132,6 +143,27 @@ def _out_pdf(rows: list[dict[str, Any]]) -> pd.DataFrame:
     return pd.DataFrame(rows, columns=cols)
 
 
+def _barrier(df: DataFrame, round_no: int) -> tuple[DataFrame, int, int, int]:
+    """Superstep barrier, the round's only Spark job: materialise ``df``
+    as a local checkpoint and return it with the round's message count,
+    volume and number of vertices changed in ``round_no``."""
+    obs = Observation()
+    out = df.observe(
+        obs,
+        F.count(F.when(F.col("kind") == "m", 1)).alias("msgs"),
+        F.sum("size").alias("volume"),  # null on state rows
+        F.count(F.when(F.col("changed_round") == round_no, 1)).alias("changed"),
+    ).localCheckpoint(eager=True)
+    m = obs.get
+    # A sum over no rows is null.
+    return out, m["msgs"], m["volume"] or 0, m["changed"]
+
+
+def _free(checkpoint: DataFrame) -> None:
+    """Unpersist the RDD behind a local checkpoint."""
+    checkpoint._jdf.queryExecution().logical().rdd().unpersist(False)
+
+
 class SparkEngine:
     """Distributed engine over an edges DataFrame ``(src, dst)``.
 
@@ -151,24 +183,17 @@ class SparkEngine:
         self.spark = spark
         self.partition = dict(partition)
         self.n_blocks = n_blocks or (max(partition.values()) + 1 if partition else 1)
-        e = (
-            edges.select(
-                F.col(edges.columns[0]).cast("long").alias("src"),
-                F.col(edges.columns[1]).cast("long").alias("dst"),
-            )
-            .where("src <> dst")
-            .dropDuplicates(["src", "dst"])
-        )
-        self.edges = e
+        self.edges = e = clean_edges(edges)
         in_n = e.groupBy(F.col("dst").alias("vid")).agg(
             F.collect_list("src").alias("in_nbrs")
         )
         out_n = e.groupBy(F.col("src").alias("vid")).agg(
             F.collect_list("dst").alias("out_nbrs")
         )
-        verts = e.select(F.col("src").alias("vid")).union(
-            e.select(F.col("dst").alias("vid"))
-        ).distinct()
+        # Endpoints before the self-loop filter: a vertex whose only
+        # edges are self-loops is still a vertex.
+        src, dst = (F.col(c).cast("long").alias("vid") for c in edges.columns[:2])
+        verts = edges.select(src).union(edges.select(dst)).distinct()
         adj = (
             verts.join(in_n, "vid", "left")
             .join(out_n, "vid", "left")
@@ -189,6 +214,10 @@ class SparkEngine:
         missing = [v for v in self.vertices if v not in self.partition]
         if missing:
             raise ValueError(f"partition misses vertices, e.g. {missing[:3]}")
+
+    def close(self) -> None:
+        """Free the adjacency checkpoint; the engine cannot run after."""
+        _free(self._adj)
 
     def _initial_state(
         self, program: VertexProgram, attrs: dict[int, dict[str, Any]] | None
@@ -240,68 +269,27 @@ class SparkEngine:
     ) -> tuple[dict[int, Any], RunStats]:
         if mode not in ("vertex", "block"):
             raise ValueError(f"unknown mode {mode!r}")
-        conf = self.spark.conf
-        old_shuffle = conf.get("spark.sql.shuffle.partitions")
-        conf.set("spark.sql.shuffle.partitions", str(max(self.n_blocks, 2)))
-        try:
-            return self._run(program, mode, attrs, max_rounds)
-        finally:
-            conf.set("spark.sql.shuffle.partitions", old_shuffle)
 
-    def _run(self, program, mode, attrs, max_rounds):
-        stats = RunStats()
-        workdir = Path(tempfile.mkdtemp(prefix="dcore_engine_"))
-        try:
-            return self._run_rounds(program, mode, attrs, max_rounds,
-                                    stats, workdir)
-        finally:
-            shutil.rmtree(workdir, ignore_errors=True)
-
-    def _materialize(self, df: DataFrame, path: Path) -> DataFrame:
-        """Superstep barrier: persist the round output and read it back,
-        resetting lineage and plan statistics (see module docstring)."""
-        df.write.mode("overwrite").parquet(str(path))
-        return self.spark.read.schema(_SCHEMA).parquet(str(path))
-
-    def _run_rounds(self, program, mode, attrs, max_rounds, stats, workdir):
         def init_fn(pdf: pd.DataFrame) -> pd.DataFrame:
             recs = _recs_from_pdf(pdf, program)
             bid = int(pdf["block"].iloc[0])
             msgs = init_block(bid, recs, program, mode)
             return _out_pdf(_rows_from_recs(recs, program) + _msg_rows(msgs, program))
 
-        state0 = self._initial_state(program, attrs)
-        out = self._materialize(
-            state0.groupBy("block").applyInPandas(lambda pdf: init_fn(pdf), _SCHEMA),
-            workdir / "round_0",
-        )
-        def msg_stats(m: DataFrame) -> tuple[int, int]:
-            row = m.agg(
-                F.count("*").alias("n"), F.sum("size").alias("vol")
-            ).collect()[0]
-            return int(row["n"]), int(row["vol"] or 0)
-
-        state = out.where(F.col("kind") == "s")
-        msgs = out.where(F.col("kind") == "m")
-        n_msgs, vol = msg_stats(msgs)
-        stats.msgs_per_round.append(n_msgs)
-        stats.changed_per_round.append(0)
-        stats.volume_per_round.append(vol)
-
         def make_round_fn(round_no: int):
-            # NOTE: the returned function must take exactly two positional
-            # parameters — Spark dispatches on arity and would otherwise
-            # pass the grouping key as a first tuple argument.
-            def round_fn(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
-                recs = _recs_from_pdf(left, program)
-                bid = int(left["block"].iloc[0])
+            # One positional parameter: Spark dispatches on arity and would
+            # pass the grouping key first to a two-parameter function.
+            def round_fn(pdf: pd.DataFrame) -> pd.DataFrame:
+                is_msg = pdf["kind"] == "m"
+                recs = _recs_from_pdf(pdf[~is_msg], program)
+                bid = int(pdf["block"].iloc[0])
                 incoming = [
                     (
                         int(m.vid),
                         int(m.src),
                         program.from_json_obj(json.loads(m.payload)),
                     )
-                    for m in right.itertuples(index=False)
+                    for m in pdf[is_msg].itertuples(index=False)
                 ]
                 _, out_msgs = run_block_round(
                     bid, recs, incoming, program, mode, round_no
@@ -312,27 +300,44 @@ class SparkEngine:
 
             return round_fn
 
-        for r in range(1, max_rounds + 1):
-            out = self._materialize(
-                state.groupBy("block")
-                .cogroup(msgs.groupBy("block"))
-                .applyInPandas(make_round_fn(r), _SCHEMA),
-                workdir / f"round_{r % 2 + 1}",  # rotate two slots
+        conf = self.spark.conf
+        old_shuffle = conf.get("spark.sql.shuffle.partitions")
+        conf.set("spark.sql.shuffle.partitions", str(max(self.n_blocks, 2)))
+        stats = RunStats()
+        out = None
+        try:
+            state0 = self._initial_state(program, attrs)
+            out, n_msgs, vol, _ = _barrier(
+                state0.groupBy("block").applyInPandas(init_fn, _SCHEMA), 0
             )
-            state = out.where(F.col("kind") == "s")
-            msgs = out.where(F.col("kind") == "m")
-            n_msgs, vol = msg_stats(msgs)
-            n_changed = state.where(F.col("changed_round") == r).count()
             stats.msgs_per_round.append(n_msgs)
-            stats.changed_per_round.append(n_changed)
+            stats.changed_per_round.append(0)
             stats.volume_per_round.append(vol)
-            if n_msgs == 0 and n_changed == 0:
-                break
-        else:
-            raise RuntimeError(f"no convergence within {max_rounds} rounds")
 
-        values: dict[int, Any] = {}
-        for row in state.select("vid", "value", "changed_round").collect():
-            values[row["vid"]] = program.from_json_obj(json.loads(row["value"]))
-            stats.converge_round[row["vid"]] = row["changed_round"]
-        return values, stats
+            for r in range(1, max_rounds + 1):
+                prev = out
+                out, n_msgs, vol, n_changed = _barrier(
+                    prev.groupBy("block").applyInPandas(make_round_fn(r), _SCHEMA), r
+                )
+                _free(prev)
+                stats.msgs_per_round.append(n_msgs)
+                stats.changed_per_round.append(n_changed)
+                stats.volume_per_round.append(vol)
+                if n_msgs == 0 and n_changed == 0:
+                    break
+            else:
+                raise RuntimeError(
+                    f"{type(program).__name__} ({mode} mode): "
+                    f"no convergence within {max_rounds} rounds"
+                )
+
+            values: dict[int, Any] = {}
+            final = out.where(F.col("kind") == "s")
+            for row in final.select("vid", "value", "changed_round").collect():
+                values[row["vid"]] = program.from_json_obj(json.loads(row["value"]))
+                stats.converge_round[row["vid"]] = row["changed_round"]
+            return values, stats
+        finally:
+            if out is not None:
+                _free(out)
+            conf.set("spark.sql.shuffle.partitions", old_shuffle)

@@ -110,7 +110,10 @@ class LocalEngine:
             if not pending and n_changed == 0:
                 break
         else:
-            raise RuntimeError(f"no convergence within {max_rounds} rounds")
+            raise RuntimeError(
+                f"{type(program).__name__} ({mode} mode): "
+                f"no convergence within {max_rounds} rounds"
+            )
 
         values: dict[int, Any] = {}
         for recs in blocks.values():

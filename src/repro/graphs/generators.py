@@ -161,4 +161,4 @@ def planted_core_digraph(
 def edges_to_spark(spark: SparkSession, edges: list[Edge]) -> DataFrame:
     """Edge list -> Spark DataFrame (src long, dst long)."""
     pdf = pd.DataFrame(edges, columns=["src", "dst"]).astype("int64")
-    return spark.createDataFrame(pdf)
+    return spark.createDataFrame(pdf, schema="src long, dst long")

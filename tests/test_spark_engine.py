@@ -1,6 +1,8 @@
-"""Spark distributed engine tests: the cogrouped-shuffle dataflow must
-be observationally identical to the local reference engine (values,
-iteration counts, message counts), and correct vs the peeling oracle.
+"""Spark distributed engine tests: the one-job-per-superstep dataflow
+(grouped ``applyInPandas``, observed round stats, local-checkpoint
+barrier) must be observationally identical to the local reference engine
+(values, per-round message/changed/volume counts, per-vertex convergence
+rounds), correct vs the peeling oracle, and leave no checkpoint behind.
 
 Graphs are kept small — every superstep is a real Spark job."""
 import pytest
@@ -133,3 +135,81 @@ def test_spark_engine_many_rounds_regression(spark):
     assert stats.rounds >= n - 1
     # Pre-fix, round ~25 alone took minutes; the whole run must not.
     assert elapsed < 120, f"superstep loop degraded: {elapsed:.0f}s"
+
+
+def _persisted(spark) -> int:
+    return len(spark.sparkContext._jsc.getPersistentRDDs())
+
+
+def test_spark_engine_run_frees_round_checkpoints(spark):
+    eng = SparkEngine(spark, edges_to_spark(spark, EDGES), PART, 3)
+    before = _persisted(spark)
+    eng.run(HIndexProgram("in"), mode="block")
+    assert _persisted(spark) == before
+    eng.close()
+    assert _persisted(spark) == before - 1
+
+
+def test_decompose_spark_frees_checkpoints(spark):
+    before = _persisted(spark)
+    decompose(spark, paper_figure2(), algo="AC", mode="block", n_blocks=2)
+    assert _persisted(spark) == before
+
+
+@pytest.mark.parametrize("engine", ["spark", "local"])
+@pytest.mark.parametrize("mode", ["vertex", "block"])
+def test_non_convergence_names_program_and_mode(spark, engine, mode):
+    eng = (
+        SparkEngine(spark, edges_to_spark(spark, EDGES), PART, 3)
+        if engine == "spark" else LocalEngine(EDGES, PART)
+    )
+    with pytest.raises(RuntimeError) as err:
+        eng.run(HIndexProgram("in"), mode=mode, max_rounds=1)
+    assert str(err.value) == (
+        f"HIndexProgram ({mode} mode): no convergence within 1 rounds"
+    )
+    if engine == "spark":
+        eng.close()
+
+
+DEGENERATE = {
+    "empty": [],
+    "single_edge": [(0, 1)],
+    "duplicates_self_loops": [
+        (0, 1), (0, 1), (1, 0), (1, 1), (1, 2), (1, 2), (2, 2), (2, 0),
+    ],
+    "self_loop_only_vertex": [(1, 2), (3, 3)],
+    "all_sink_star": [(0, i) for i in range(1, 7)],
+    "two_cycles": [(0, 1), (1, 2), (2, 0), (10, 11), (11, 12), (12, 13), (13, 10)],
+}
+
+
+@pytest.mark.parametrize("algo", ["AC", "SC"])
+@pytest.mark.parametrize("mode", ["vertex", "block"])
+@pytest.mark.parametrize("graph", list(DEGENERATE))
+def test_degenerate_graph_engine_invariance(spark, graph, mode, algo):
+    """Every phase's per-round counts and per-vertex convergence rounds
+    match the reference engine, and values match peeling, on inputs that
+    exercise the engine's edge cases (no rows, no messages, vertices
+    without edges)."""
+    edges = DEGENERATE[graph]
+    kw = dict(algo=algo, mode=mode, partitioner="hash", n_blocks=3)
+    r_spark = decompose(spark, edges, engine="spark", **kw)
+    r_local = decompose(None, edges, engine="local", **kw)
+    assert r_spark.anchored == r_local.anchored == peel_decompose(edges)[0]
+    assert r_spark.stats.keys() == r_local.stats.keys()
+    for phase, ls in r_local.stats.items():
+        ss = r_spark.stats[phase]
+        assert ss.msgs_per_round == ls.msgs_per_round, phase
+        assert ss.changed_per_round == ls.changed_per_round, phase
+        assert ss.volume_per_round == ls.volume_per_round, phase
+        assert ss.converge_round == ls.converge_round, phase
+
+
+def test_decompose_spark_dataframe_keeps_self_loop_only_vertex(spark):
+    """A DataFrame input's self-loop-only vertex reaches the partition
+    and the result, as it does for an edge-list input."""
+    edges = DEGENERATE["self_loop_only_vertex"]
+    res = decompose(spark, edges_to_spark(spark, edges), algo="AC",
+                    n_blocks=3, engine="spark")
+    assert res.anchored == peel_decompose(edges)[0] == {1: [0], 2: [0], 3: [0]}
