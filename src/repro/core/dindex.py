@@ -3,19 +3,34 @@
 A *skyline* here is a set of mutually non-dominated ``(k, l)`` pairs.
 ``(k', l') <= (k, l)`` iff ``k' <= k`` and ``l' <= l`` (Definition 5.1).
 
-The optimized n-order D-index computation follows the paper's
-optimizations and sharpens the dominance counting:
+Algorithm 6 scans ``k`` downwards and, at each ``k``, ``l`` downwards
+until a candidate ``(k, l)`` has at least ``k`` supporting in-neighbors
+and at least ``l`` supporting out-neighbors. A neighbor supports
+``(k, l)`` iff ``maxl(k) >= l``, where ``maxl(k) = max{l' : (k', l') in
+its pairs, k' >= k}`` (-1 if no pair reaches ``k``). Both tests are
+monotone in ``l``, so :func:`n_order_d_index` computes the scan's answer
+in closed form from order statistics of one support matrix per side
+(row = neighbor, column ``k`` = its ``maxl(k)``, each column sorted in
+descending order):
 
-* Optimization-1: candidate ranges bounded by ``k_hi = H({max-k of each
-  in-neighbor})`` and ``l_hi = H({max-l of each out-neighbor})``, plus
-  ``l_min`` skyline pruning while scanning ``k`` downwards.
-* Optimization-2: one D-index computation over *neighbors* (a neighbor
-  supports a candidate ``(k, l)`` if any pair of its skyline
-  dominates-or-equals it) instead of one per combinatorial instance of
-  neighbor-pair choices. We precompute, per neighbor, the step function
-  ``maxl(k) = max{l' : (k', l') in skyline, k' >= k}`` and sort it
-  column-wise, so each candidate check is a binary search instead of a
-  scan over all neighbors — this matters for hub vertices.
+* the in-test holds iff ``l <= L_in(k)``, the ``k``-th largest entry of
+  in-column ``k`` (+infinity at ``k = 0``, -1 when fewer than ``k``
+  in-neighbors reach ``k``);
+* the out-test holds iff ``l <= L_out(k)``, the H-index of out-column
+  ``k``;
+
+so the first accepted ``l`` at level ``k`` is ``min(L_in(k), L_out(k))``,
+and the skyline keeps it when it exceeds the running ``l_min``.
+
+* Optimization-1 (candidate ranges ``k <= k_hi = H({max-k of each
+  in-neighbor})`` and ``l <= l_hi = H({max-l of each out-neighbor})``,
+  plus ``l_min`` pruning) holds implicitly: every ``k > k_hi`` has
+  ``L_in(k) = -1``, and ``L_out(k) <= l_hi`` because each ``maxl(k)`` is
+  at most the neighbor's max-l. The matrices therefore need only
+  ``1 + min(|in|, max k)`` columns and no H-index over neighbor maxima.
+* Optimization-2 (one support count per *neighbor*, not per combination
+  of neighbor pairs) is the support matrix itself: a neighbor counts once
+  at ``(k, l)`` if any of its pairs dominates-or-equals it.
 * Optimization-3 (tight initialization) lives in
   :mod:`repro.core.skyline`.
 
@@ -26,7 +41,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.framework.hindex import h_index
+# h_index stays bound here: perfbench/layers.py patches dindex.h_index.
+from repro.framework.hindex import h_index, h_index_sorted_desc  # noqa: F401
 
 Pair = tuple[int, int]
 
@@ -54,58 +70,45 @@ def skyline(pairs) -> list[Pair]:
     return out
 
 
-def _maxl_steps(pairs: list[Pair], k_hi: int) -> np.ndarray:
-    """``maxl[k] = max{l' : (k', l') in skyline(pairs), k' >= k}`` for
-    k in [0, k_hi]; -1 where no pair reaches k."""
-    maxl = np.full(k_hi + 1, -1, dtype=np.int64)
-    # skyline() yields k descending with l ascending, so later (smaller-k,
-    # larger-l) pairs correctly overwrite the prefix.
-    for k, l in skyline(pairs):
-        maxl[: min(k, k_hi) + 1] = l
-    return maxl
-
-
 def n_order_d_index(
     in_skylines: list[list[Pair]], out_skylines: list[list[Pair]]
 ) -> list[Pair]:
     """Algorithm 6: the n-order D-index from the neighbors' skylines.
 
-    Returns the skyline sorted by k descending. ``l_min`` starts at -1 so
-    pairs with l == 0 are reachable; the paper's pseudo-code initialises
-    it to 0, but its own worked example (Table 2) contains pairs such as
+    Returns the skyline sorted by k descending. Any pair lists are
+    accepted, not only skylines. ``l_min`` starts at -1 so pairs with
+    l == 0 are reachable; the paper's pseudo-code initialises it to 0,
+    but its own worked example (Table 2) contains pairs such as
     ``(2, 0)``, which requires scanning down to l = 0.
     """
-    k_hi = h_index(max((k for k, _ in s), default=0) for s in in_skylines)
-    l_hi = h_index(max((l for _, l in s), default=0) for s in out_skylines)
-    # Column-sorted support tables: supports_in[k] = sorted maxl values
-    # over in-neighbors; a neighbor supports (k, l) iff its maxl(k) >= l.
-    if in_skylines:
-        m_in = np.sort(
-            np.stack([_maxl_steps(s, k_hi) for s in in_skylines]), axis=0
-        )
-    else:
-        m_in = np.empty((0, k_hi + 1), dtype=np.int64)
-    if out_skylines:
-        m_out = np.sort(
-            np.stack([_maxl_steps(s, k_hi) for s in out_skylines]), axis=0
-        )
-    else:
-        m_out = np.empty((0, k_hi + 1), dtype=np.int64)
-
-    def n_support(m: np.ndarray, k: int, l: int) -> int:
-        col = m[:, k]
-        return col.size - int(np.searchsorted(col, l, side="left"))
+    n_in = len(in_skylines)
+    width = 1 + min(n_in, max((k for s in in_skylines for k, _ in s), default=0))
+    k_top = width - 1
+    # maxl matrix of both sides stacked (in-rows first): scatter each
+    # (row, min(k, k_top)) cell's largest l, then a reverse running max
+    # along k extends every pair to the smaller k it dominates.
+    cells: dict[int, int] = {}
+    for row, pairs in enumerate([*in_skylines, *out_skylines]):
+        base = row * width
+        for k, l in pairs:
+            cell = base + (k if k < k_top else k_top)
+            if cells.get(cell, -1) < l:
+                cells[cell] = l
+    m = np.full((n_in + len(out_skylines)) * width, -1, dtype=np.int64)
+    if cells:
+        m[list(cells)] = list(cells.values())
+    m = np.maximum.accumulate(m.reshape(-1, width)[:, ::-1], axis=1)[:, ::-1]
+    m_in = np.sort(m[:n_in], axis=0)[::-1]
+    best = h_index_sorted_desc(np.sort(m[n_in:], axis=0)[::-1])  # L_out
+    # L_in(k) = m_in[k - 1, k] for k >= 1; L_in(0) is unbounded.
+    np.minimum(best[1:], np.diagonal(m_in[:, 1:]), out=best[1:])
 
     result: list[Pair] = []
     l_min = -1
-    for k in range(k_hi, -1, -1):
-        for l in range(l_hi, l_min, -1):
-            if n_support(m_in, k, l) < k:
-                continue
-            if n_support(m_out, k, l) >= l:
-                result.append((k, l))
-                l_min = l
-                break
+    for k, l in zip(range(k_top, -1, -1), best[::-1].tolist()):
+        if l > l_min:
+            result.append((k, l))
+            l_min = l
     return result
 
 

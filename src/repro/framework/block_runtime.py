@@ -82,12 +82,15 @@ class VertexProgram(ABC):
         integer units. AC's Phase II/III messages carry an l-array per k
         (size k_max+1); SC messages carry a skyline (2 ints per pair) —
         this is what makes SC cheaper on the wire (Fig. 4(b)) even when
-        the message *counts* are similar."""
-        if isinstance(value, int):
+        the message *counts* are similar.
+
+        Closed form over the runtime's three value types: 1 for an int,
+        ``len(arr)`` for an l-array, ``2 * len(sky)`` for a skyline."""
+        if not isinstance(value, (list, tuple)):
             return 1
-        if isinstance(value, (list, tuple)):
-            return sum(self.payload_size(v) for v in value)
-        return 1
+        if value and isinstance(value[0], (list, tuple)):
+            return 2 * len(value)
+        return len(value)
 
     def consumed_nbrs(self, ctx: VertexCtx) -> tuple[int, ...]:
         if self.consumes == "in":
@@ -167,7 +170,8 @@ def run_block_round(
         active = list(recs.keys())
     else:
         active = list(dict.fromkeys(dst for dst, _, _ in incoming))
-        active += [v for v, r in recs.items() if r.self_active and v not in set(active)]
+        seen = set(active)
+        active += [v for v, r in recs.items() if r.self_active and v not in seen]
     for rec in recs.values():
         rec.self_active = False
 

@@ -3,8 +3,8 @@
 The H-index of a multiset of non-negative integers ``S`` is the maximum
 integer ``h`` such that at least ``h`` elements of ``S`` are ``>= h``
 (Hirsch index). It is the one-dimensional workhorse behind the paper's
-n-order in-/out-H-indexes (Definitions 4.2/4.3) and the candidate-range
-bounds of the D-index (Optimization-1, Section 5.3).
+n-order in-/out-H-indexes (Definitions 4.2/4.3) and, column-wise, the
+out-side order statistic of the D-index (:mod:`repro.core.dindex`).
 """
 from __future__ import annotations
 
@@ -16,36 +16,34 @@ import numpy as np
 def h_index(values: Iterable[int]) -> int:
     """Return ``H(S)``: the max ``h`` with at least ``h`` elements ``>= h``.
 
-    ``h_index([]) == 0``; negative inputs are rejected.
+    Accepts any iterable of non-negative integers (a list, a generator, a
+    numpy array); ``h_index([]) == 0`` and negative inputs are rejected.
+    Sorted in descending order, the ``i``-th element (0-based) is ``>= i +
+    1`` exactly for ``i < H``, so ``H`` is the length of the prefix where
+    ``s[i] > i``. Plain Python: the programs call this on a handful of
+    values at a time, where building a numpy array costs more than the
+    sort.
 
     >>> h_index([1, 2, 3, 3, 4, 6])
     3
     """
-    a = np.asarray(list(values), dtype=np.int64)
-    if a.size == 0:
-        return 0
-    if (a < 0).any():
+    s = sorted(values, reverse=True)
+    if s and s[-1] < 0:
         raise ValueError("h_index is defined for non-negative integers")
-    # Counting-sort formulation: h = max h with |{x >= h}| >= h. Clip
-    # values above n (an element > n can never raise H above n).
-    n = a.size
-    counts = np.bincount(np.minimum(a, n), minlength=n + 1)
-    ge = 0  # number of elements >= h, scanning h from n down to 1
-    for h in range(n, 0, -1):
-        ge += counts[h]
-        if ge >= h:
-            return h
-    return 0
+    h = 0
+    for x in s:
+        if x <= h:
+            break
+        h += 1
+    return h
 
 
-def h_index_sorted_desc(sorted_desc: np.ndarray) -> int:
-    """H-index of an already descending-sorted int array (fast path)."""
-    n = sorted_desc.size
-    if n == 0:
-        return 0
-    ranks = np.arange(1, n + 1)
-    ok = sorted_desc >= ranks
-    if not ok.any():
-        return 0
-    # ok is a prefix (sorted desc vs increasing rank): last True index + 1.
-    return int(np.nonzero(ok)[0][-1] + 1)
+def h_index_sorted_desc(sorted_desc: np.ndarray) -> int | np.ndarray:
+    """H-index of an int array already sorted in descending order along
+    axis 0: an ``int`` for a 1-D array, one H-index per column (an int64
+    array) for a 2-D one. Negative entries count as below every rank."""
+    ranks = np.arange(1, sorted_desc.shape[0] + 1)
+    if sorted_desc.ndim == 1:
+        # ``sorted_desc >= ranks`` is a prefix, so its count is H.
+        return int(np.count_nonzero(sorted_desc >= ranks))
+    return np.count_nonzero(sorted_desc >= ranks[:, None], axis=0)

@@ -1,9 +1,17 @@
 """Block-runtime semantics tests: message accounting, activation rules,
 mode equivalence, and the convergence metrics."""
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.anchored import HIndexProgram, run_anchored
-from repro.framework.block_runtime import RunStats, VertexCtx, VertexProgram
+from repro.framework.block_runtime import (
+    RunStats,
+    VertexCtx,
+    VertexProgram,
+    VRec,
+    run_block_round,
+)
 from repro.framework.local_engine import LocalEngine, adjacency
 from repro.framework.partition import hash_partition, metis_lite_partition
 from repro.graphs.generators import chung_lu_digraph, er_digraph
@@ -157,3 +165,55 @@ def test_vertex_mode_oscillator_hits_round_cap():
     eng = LocalEngine([(1, 2), (2, 1)])
     with pytest.raises(RuntimeError):
         eng.run(Oscillator(), mode="vertex", max_rounds=50)
+
+
+def _payload_size_recursive(value) -> int:
+    """The recursive reference form of ``VertexProgram.payload_size``."""
+    if isinstance(value, int):
+        return 1
+    if isinstance(value, (list, tuple)):
+        return sum(_payload_size_recursive(v) for v in value)
+    return 1
+
+
+_ints = st.integers(min_value=0, max_value=1 << 30)
+_payloads = st.one_of(
+    _ints,  # Phase-I H-index value
+    st.lists(_ints, max_size=30),  # l-array (AC Phases II/III)
+    st.lists(st.tuples(_ints, _ints), max_size=15),  # skyline (SC)
+    st.lists(st.lists(_ints, min_size=2, max_size=2), max_size=15),  # JSON skyline
+)
+
+
+@given(_payloads)
+def test_payload_size_closed_form_matches_recursive(value):
+    """Message volumes (Fig. 4(b)) must not change with the closed form."""
+    assert HIndexProgram("in").payload_size(value) == _payload_size_recursive(value)
+
+
+def test_self_active_message_target_updates_once_per_round():
+    """A vertex that is both a message destination and self-active is
+    updated once in a vertex-mode round."""
+    calls = []
+
+    class Counting(VertexProgram):
+        consumes = "both"
+
+        def init_value(self, ctx):
+            return 5
+
+        def update(self, ctx, value, cache):
+            calls.append(ctx.vid)
+            return value
+
+    recs = {
+        v: VRec(ctx=VertexCtx(v, (), (), {}), block=0, consumers=(), value=5,
+                self_active=True)
+        for v in (1, 2, 3)
+    }
+    changed, out = run_block_round(
+        0, recs, [(1, 9, 4), (1, 8, 4), (2, 9, 4)], Counting(), "vertex", 2
+    )
+    assert sorted(calls) == [1, 2, 3]
+    assert changed == set() and out == []
+    assert not any(r.self_active for r in recs.values())

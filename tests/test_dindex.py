@@ -10,6 +10,8 @@ from repro.core.dindex import (
     n_order_d_index_bruteforce,
     skyline,
 )
+from repro.core.skyline import BIG
+from repro.framework.hindex import h_index
 
 
 # ---------- dominance ----------
@@ -133,3 +135,58 @@ def test_n_order_handles_l_zero_pairs():
 
 def test_n_order_no_neighbors():
     assert n_order_d_index([], []) == [(0, 0)]
+
+
+# Hub-scale inputs: arbitrary pair lists (not skylines, possibly empty or
+# with repeats) over up to 25 neighbors per side.
+hub_lists = st.lists(
+    st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=4),
+    max_size=25,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hub_lists, hub_lists)
+def test_n_order_matches_bruteforce_hub_scale(in_pairs, out_pairs):
+    assert n_order_d_index(in_pairs, out_pairs) == n_order_d_index_bruteforce(
+        in_pairs, out_pairs
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(hub_lists, hub_lists)
+def test_n_order_within_optimization1_bounds(in_pairs, out_pairs):
+    """Optimization-1: k <= H(max-k of each in-neighbor) and
+    l <= H(max-l of each out-neighbor) for every result pair."""
+    k_hi = h_index(max((k for k, _ in s), default=0) for s in in_pairs)
+    l_hi = h_index(max((l for _, l in s), default=0) for s in out_pairs)
+    for k, l in n_order_d_index(in_pairs, out_pairs):
+        assert k <= k_hi and l <= l_hi
+
+
+def test_n_order_big_sentinels():
+    """Neighbors whose value has not arrived are ``[(BIG, BIG)]``: they
+    support every candidate, so only the neighbor counts bound the result."""
+    top = [(BIG, BIG)]
+    assert n_order_d_index([top] * 3, [top] * 2) == [(3, 2)]
+    assert n_order_d_index([top] * 3, []) == [(3, 0)]
+    assert n_order_d_index([], [top] * 4) == [(0, 4)]
+    assert n_order_d_index([top, [(1, 5)]], [top, top, [(2, 0)]]) == [(1, 2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(hub_lists, hub_lists, st.data())
+def test_n_order_big_sentinels_match_bruteforce(in_pairs, out_pairs, data):
+    mask = st.lists(st.booleans(), min_size=len(in_pairs) + len(out_pairs),
+                    max_size=len(in_pairs) + len(out_pairs))
+    top = data.draw(mask)
+    in_p = [[(BIG, BIG)] if t else p for p, t in zip(in_pairs, top)]
+    out_p = [[(BIG, BIG)] if t else p for p, t in zip(out_pairs, top[len(in_pairs):])]
+    assert n_order_d_index(in_p, out_p) == n_order_d_index_bruteforce(in_p, out_p)
+
+
+@given(hub_lists, hub_lists)
+def test_n_order_returns_python_ints(in_pairs, out_pairs):
+    """Values go through ``json.dumps`` on the Spark engine."""
+    for k, l in n_order_d_index(in_pairs, out_pairs):
+        assert type(k) is int and type(l) is int

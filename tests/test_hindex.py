@@ -82,3 +82,21 @@ def test_h_index_antitone_in_decrease(values):
 def test_h_index_sorted_desc_agrees(values):
     arr = np.sort(np.array(values, dtype=np.int64))[::-1]
     assert h_index_sorted_desc(arr) == h_index(values)
+
+
+@given(st.lists(st.lists(st.integers(min_value=-1, max_value=20), min_size=3,
+                         max_size=3), max_size=25))
+def test_h_index_sorted_desc_2d_matches_h_index(rows):
+    """Column-wise on a 2-D array (-1 marks "no value", as in the D-index)."""
+    arr = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    got = h_index_sorted_desc(np.sort(arr, axis=0)[::-1])
+    assert got.tolist() == [h_index(max(x, 0) for x in col) for col in arr.T]
+
+
+def test_h_index_accepts_generator_and_numpy_array():
+    values = [1, 2, 3, 3, 4, 6]
+    assert h_index(x for x in values) == 3
+    assert h_index(np.array(values, dtype=np.int64)) == 3
+    assert h_index(np.array([], dtype=np.int64)) == 0
+    with pytest.raises(ValueError):
+        h_index(np.array([2, -3]))
