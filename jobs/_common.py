@@ -1,38 +1,11 @@
 """Shared helpers for spark-submit job entrypoints.
 
 Jobs are thin argparse wrappers around functions that take a
-SparkSession; running them via ``python jobs/<name>.py`` or
-``spark-submit jobs/<name>.py`` is equivalent in local mode.
+SparkSession (from :func:`repro.framework.engine.get_spark`); running
+them via ``python jobs/<name>.py`` or ``spark-submit jobs/<name>.py`` is
+equivalent in local mode.
 """
 from __future__ import annotations
-
-import os
-
-from pyspark.sql import SparkSession
-
-
-def get_spark(app: str) -> SparkSession:
-    """Local SparkSession with the same session-level settings as the
-    pytest fixture (shuffle partitions, Arrow, no broadcast joins)."""
-    os.environ.setdefault(
-        "PYSPARK_SUBMIT_ARGS",
-        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '8g')} "
-        "--conf spark.driver.host=127.0.0.1 "
-        "--conf spark.ui.enabled=false pyspark-shell",
-    )
-    spark = (
-        SparkSession.builder.appName(app)
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "16"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
-    spark.sparkContext.setLogLevel("ERROR")
-    return spark
 
 
 def print_table(headers: list[str], rows: list[list]) -> None:

@@ -22,10 +22,11 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _common import get_spark, print_table  # noqa: E402
+from _common import print_table  # noqa: E402
 
 from repro.baseline.peeling import peel_decompose  # noqa: E402
 from repro.core.decompose import decompose  # noqa: E402
+from repro.framework.engine import get_spark  # noqa: E402
 from repro.graphs.datasets import SPECS, load  # noqa: E402
 
 

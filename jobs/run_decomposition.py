@@ -13,15 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _common import get_spark  # noqa: E402
-
-from repro.core.decompose import decompose  # noqa: E402
-from repro.graphs.datasets import SPECS, load  # noqa: E402
-from repro.graphs.generators import edges_to_spark  # noqa: E402
+from repro.core.decompose import decompose
+from repro.framework.engine import get_spark
+from repro.graphs.datasets import SPECS, load
+from repro.graphs.generators import edges_to_spark
 
 
 def main() -> None:

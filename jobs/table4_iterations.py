@@ -19,12 +19,13 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _common import get_spark, print_table  # noqa: E402
+from _common import print_table  # noqa: E402
 
 from repro.core.decompose import decompose  # noqa: E402
+from repro.framework.engine import get_spark  # noqa: E402
 from repro.graphs.datasets import PAPER_TABLE4, SPECS, load  # noqa: E402
-from repro.graphs.stats import graph_summary  # noqa: E402
 from repro.graphs.generators import edges_to_spark  # noqa: E402
+from repro.graphs.stats import graph_summary  # noqa: E402
 
 
 def run_all(spark, names, engine: str, n_blocks: int = 8):

@@ -19,8 +19,10 @@ in rounds × latency and message volume.
 """
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
+
+from repro.framework.local_engine import adjacency
 
 Edge = tuple[int, int]
 
@@ -33,30 +35,14 @@ class PeelingStats:
     messages: int = 0  # graph collection + per-deletion neighbor updates
 
 
-def _simple_adj(edges: list[Edge]):
-    seen: set[Edge] = set()
-    in_n: dict[int, list[int]] = defaultdict(list)
-    out_n: dict[int, list[int]] = defaultdict(list)
-    verts: set[int] = set()
-    for u, v in edges:
-        verts.add(u)
-        verts.add(v)
-        if u == v or (u, v) in seen:
-            continue
-        seen.add((u, v))
-        out_n[u].append(v)
-        in_n[v].append(u)
-    return verts, in_n, out_n, len(seen)
-
-
 def in_coreness(edges: list[Edge]) -> dict[int, int]:
     """``k_max(v)``: the max k with v in a non-empty (k,0)-core.
 
     Bucket-queue peel on in-degrees; removing a vertex decrements the
     in-degree of its out-neighbors. O(n + m).
     """
-    verts, in_n, out_n, _ = _simple_adj(edges)
-    deg = {v: len(in_n.get(v, ())) for v in verts}
+    in_n, out_n = adjacency(edges)
+    deg = {v: len(nbrs) for v, nbrs in in_n.items()}
     maxd = max(deg.values(), default=0)
     buckets: list[list[int]] = [[] for _ in range(maxd + 1)]
     for v, d in deg.items():
@@ -75,7 +61,7 @@ def in_coreness(edges: list[Edge]) -> dict[int, int]:
             k = max(k, d)
             core[v] = k
             removed.add(v)
-            for w in out_n.get(v, ()):  # v's removal lowers w's in-degree
+            for w in out_n[v]:  # v's removal lowers w's in-degree
                 if w not in removed and deg[w] > d:
                     deg[w] -= 1
                     # deg[w] >= d still holds, so the re-bucket target is
@@ -93,17 +79,18 @@ def peel_decompose(
     Returns ``(anchored, stats)`` with ``anchored[v] = [l_max(0,v), ...,
     l_max(k_max(v), v)]`` and the distributed cost-model counters.
     """
-    verts, in_n, out_n, m = _simple_adj(edges)
+    in_n, out_n = adjacency(edges)
+    m = sum(len(nbrs) for nbrs in out_n.values())
     kmax = in_coreness(edges)
     stats = PeelingStats(messages=m)  # coordinator collects the graph
-    anchored = {v: [] for v in verts}
-    if not verts:
+    anchored = {v: [] for v in in_n}
+    if not in_n:
         return anchored, stats
     K = max(kmax.values())
     for k in range(K + 1):
-        alive = {v for v in verts if kmax[v] >= k}
-        ind = {v: sum(1 for u in in_n.get(v, ()) if u in alive) for v in alive}
-        outd = {v: sum(1 for u in out_n.get(v, ()) if u in alive) for v in alive}
+        alive = {v for v in in_n if kmax[v] >= k}
+        ind = {v: sum(1 for u in in_n[v] if u in alive) for v in alive}
+        outd = {v: sum(1 for u in out_n[v] if u in alive) for v in alive}
         # Coordinator dispatches the (k, ·) decomposition task with the
         # current induced subgraph G[k] — this Σ_k |E(G[k])| (~ k_max · m)
         # term is what makes peeling's communication explode on graphs
@@ -121,13 +108,13 @@ def peel_decompose(
                         continue
                     alive.discard(v)
                     anchored[v].append(l - 1)  # l_max(k, v) = l - 1
-                    for w in out_n.get(v, ()):
+                    for w in out_n[v]:
                         if w in alive:
                             stats.messages += 1
                             ind[w] -= 1
                             if ind[w] < k:
                                 next_wave.append(w)
-                    for w in in_n.get(v, ()):
+                    for w in in_n[v]:
                         if w in alive:
                             stats.messages += 1
                             outd[w] -= 1

@@ -52,18 +52,7 @@ class HIndexProgram(VertexProgram):
         return min(value, h)
 
 
-class _NbrKmaxAttrs:
-    """Mixin: restore int vids in the ``nbr_kmax`` map after the Spark
-    engine's JSON round-trip turns dict keys into strings."""
-
-    def normalize_attrs(self, attrs):
-        nk = attrs.get("nbr_kmax")
-        if nk is not None:
-            attrs["nbr_kmax"] = {int(u): v for u, v in nk.items()}
-        return attrs
-
-
-class LUppProgram(_NbrKmaxAttrs, VertexProgram):
+class LUppProgram(VertexProgram):
     """Phase II: batch upper bounds ``l_upp(k, v)``, k in [0, k_max(v)].
 
     Value: list of ints indexed by k. ``attrs`` must provide ``kmax``
@@ -98,11 +87,8 @@ class LUppProgram(_NbrKmaxAttrs, VertexProgram):
                 new[k] = h
         return new if new != value else value
 
-    def from_json_obj(self, obj):
-        return obj  # plain int lists round-trip as-is
 
-
-class RefineProgram(_NbrKmaxAttrs, VertexProgram):
+class RefineProgram(VertexProgram):
     """Phase III: refine ``l_upp`` to the exact ``l_max`` (Theorem 4.3).
 
     Value: list of ints indexed by k, initialised from ``attrs['lupp']``.
@@ -153,9 +139,9 @@ def neighbor_attr_map(
     in_nbrs: dict[int, tuple], out_nbrs: dict[int, tuple], values: dict[int, int]
 ) -> dict[int, dict[int, int]]:
     """Per-vertex {neighbor: value} maps (e.g. the k_max of each neighbor,
-    defining the induced subgraphs G[k] for Phases II/III). Int keys
-    become strings through the Spark engine's JSON round-trip and are
-    restored by the programs' ``normalize_attrs``."""
+    defining the induced subgraphs G[k] for Phases II/III). Keyed by int
+    vid on both engines: the Spark engine pickles attrs, so the keys
+    survive its supersteps unchanged."""
     out = {}
     for v in in_nbrs:
         nbrs = set(in_nbrs[v]) | set(out_nbrs[v])

@@ -45,12 +45,6 @@ class SkylineProgram(VertexProgram):
         new = n_order_d_index(in_sky, out_sky)
         return new if new != value else value
 
-    def to_json_obj(self, value):
-        return None if value is None else [list(p) for p in value]
-
-    def from_json_obj(self, obj):
-        return None if obj is None else [(int(k), int(l)) for k, l in obj]
-
 
 def run_skyline(engine, mode: str = "vertex"):
     """Algorithm 5 end-to-end on an engine (Local or Spark).

@@ -64,19 +64,6 @@ class VertexProgram(ABC):
         neighbor's vid to its last known value, or :data:`UNKNOWN`.
         """
 
-    # JSON round-tripping for the Spark engine; override when the value
-    # contains tuples (JSON decodes them as lists).
-    def to_json_obj(self, value: Any) -> Any:
-        return value
-
-    def from_json_obj(self, obj: Any) -> Any:
-        return obj
-
-    def normalize_attrs(self, attrs: dict[str, Any]) -> dict[str, Any]:
-        """Repair attrs after a JSON round-trip (e.g. int dict keys that
-        became strings). Must be idempotent; default is identity."""
-        return attrs
-
     def payload_size(self, value: Any) -> int:
         """Communication volume of one message carrying ``value``, in
         integer units. AC's Phase II/III messages carry an l-array per k
@@ -201,7 +188,10 @@ def run_block_round(
     while work:
         budget -= 1
         if budget < 0:  # non-monotone program guard
-            raise RuntimeError("block-local iteration did not converge")
+            raise RuntimeError(
+                f"{type(program).__name__} (block mode): block {block_id} "
+                f"did not converge locally in round {round_no}"
+            )
         vid = work.popleft()
         queued.discard(vid)
         rec = recs[vid]

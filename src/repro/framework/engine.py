@@ -7,16 +7,22 @@ output::
        .observe(obs, msgs, volume, changed)
        .localCheckpoint(eager=True)
 
-Every output row is either a vertex's state (``kind = 's'``, keyed by its
-owning block) or a message (``kind = 'm'``, keyed by the destination
-block), so grouping the previous output by ``block`` hands each task its
-block's state and its inbox together. ``round_fn`` splits the two by
-``kind``, runs the shared
-:func:`repro.framework.block_runtime.run_block_round` and emits the new
-state rows and the outgoing message rows.
+Each block is one fragment, as on a GRAPE worker. Its state is one row
+(``kind = 's'``) whose ``data`` is the pickled ``dict[int, VRec]`` that
+:func:`repro.framework.block_runtime.run_block_round` reads and updates
+(adjacency, consumers, attrs, value and neighbour cache), with the
+number of vertices it changed that round in ``changed``. A round's
+messages to one destination block are one row (``kind = 'm'``) whose
+``data`` is the pickled list of ``(dst, src, payload)`` triples, with
+the batch's message count in ``msgs`` and payload volume in ``volume``.
+Grouping the previous output by ``block`` hands each task its block's
+state and its inbox together. Values, attrs and payloads are plain
+Python objects, so they round-trip exactly: tuples stay tuples and int
+dict keys stay ints. ``data`` is only ever unpickled from bytes that this
+run's own UDFs wrote.
 
 The round's message count, volume and changed-vertex count are
-aggregated by a :class:`pyspark.sql.Observation` on the round output,
+summed by a :class:`pyspark.sql.Observation` on the round output,
 like Pregel aggregators: they arrive with the barrier instead of costing
 extra actions.
 
@@ -34,13 +40,12 @@ A local checkpoint stays persisted until its RDD is unpersisted, which
 ``DataFrame.unpersist()`` does not do. The engine unpersists each
 round's checkpoint once the next round is materialised, and the last
 one when the run ends; :meth:`SparkEngine.close` frees the adjacency.
-
-Vertex state, neighbor caches and message payloads travel as JSON columns
-— the engine is generic over the program's value type.
 """
 from __future__ import annotations
 
-import json
+import os
+import pickle
+from collections import defaultdict
 from typing import Any
 
 import pandas as pd
@@ -48,6 +53,7 @@ from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
 from repro.framework.block_runtime import (
+    Message,
     RunStats,
     VertexCtx,
     VertexProgram,
@@ -58,110 +64,73 @@ from repro.framework.block_runtime import (
 from repro.graphs.stats import clean_edges
 
 _SCHEMA = (
-    "kind string, block long, vid long, src long, payload string, "
-    "in_nbrs string, out_nbrs string, consumers string, attrs string, "
-    "value string, cache string, changed_round long, self_active boolean, "
-    "size long"
+    "kind string, block long, data binary, msgs long, volume long, changed long"
 )
 
-def _recs_from_pdf(pdf: pd.DataFrame, program: VertexProgram) -> dict[int, VRec]:
-    recs: dict[int, VRec] = {}
-    for row in pdf.itertuples(index=False):
-        ctx = VertexCtx(
-            vid=int(row.vid),
-            in_nbrs=tuple(json.loads(row.in_nbrs)),
-            out_nbrs=tuple(json.loads(row.out_nbrs)),
-            attrs=program.normalize_attrs(json.loads(row.attrs)),
-        )
-        rec = VRec(
-            ctx=ctx,
-            block=int(row.block),
-            consumers=tuple((int(c), int(b)) for c, b in json.loads(row.consumers)),
-            value=program.from_json_obj(json.loads(row.value)) if row.value else None,
-            cache={
-                int(k): program.from_json_obj(v)
-                for k, v in json.loads(row.cache).items()
-            },
-            changed_round=int(row.changed_round),
-            self_active=bool(row.self_active),
-        )
-        recs[ctx.vid] = rec
-    return recs
+
+def _out_pdf(
+    block_id: int,
+    recs: dict[int, VRec],
+    n_changed: int,
+    msgs: list[Message],
+    program: VertexProgram,
+) -> pd.DataFrame:
+    """A block's round output: its state row and one message batch per
+    destination block."""
+    batches: dict[int, list[tuple[int, int, Any]]] = defaultdict(list)
+    for dblock, dvid, svid, payload in msgs:
+        batches[dblock].append((dvid, svid, payload))
+    rows = [("s", block_id, pickle.dumps(recs), 0, 0, n_changed)]
+    for dblock, batch in batches.items():
+        volume = sum(program.payload_size(p) for _, _, p in batch)
+        rows.append(("m", dblock, pickle.dumps(batch), len(batch), volume, 0))
+    return pd.DataFrame(rows)  # unnamed columns match _SCHEMA by position
 
 
-def _rows_from_recs(
-    recs: dict[int, VRec], program: VertexProgram
-) -> list[dict[str, Any]]:
-    rows = []
-    for vid, r in recs.items():
-        rows.append(
-            {
-                "kind": "s",
-                "block": r.block,
-                "vid": vid,
-                "src": None,
-                "payload": None,
-                "in_nbrs": json.dumps(list(r.ctx.in_nbrs)),
-                "out_nbrs": json.dumps(list(r.ctx.out_nbrs)),
-                "consumers": json.dumps([list(c) for c in r.consumers]),
-                "attrs": json.dumps(r.ctx.attrs),
-                "value": json.dumps(program.to_json_obj(r.value)),
-                "cache": json.dumps(
-                    {str(k): program.to_json_obj(v) for k, v in r.cache.items()}
-                ),
-                "changed_round": r.changed_round,
-                "self_active": r.self_active,
-                "size": None,
-            }
-        )
-    return rows
-
-
-def _msg_rows(msgs, program: VertexProgram) -> list[dict[str, Any]]:
-    return [
-        {
-            "kind": "m",
-            "block": dblock,
-            "vid": dvid,
-            "src": svid,
-            "payload": json.dumps(program.to_json_obj(payload)),
-            "in_nbrs": None, "out_nbrs": None, "consumers": None,
-            "attrs": None, "value": None, "cache": None,
-            "changed_round": None, "self_active": None,
-            "size": program.payload_size(payload),
-        }
-        for dblock, dvid, svid, payload in msgs
-    ]
-
-
-def _out_pdf(rows: list[dict[str, Any]]) -> pd.DataFrame:
-    cols = [
-        "kind", "block", "vid", "src", "payload", "in_nbrs", "out_nbrs",
-        "consumers", "attrs", "value", "cache", "changed_round", "self_active",
-        "size",
-    ]
-    return pd.DataFrame(rows, columns=cols)
-
-
-def _barrier(df: DataFrame, round_no: int) -> tuple[DataFrame, int, int, int]:
+def _barrier(df: DataFrame) -> tuple[DataFrame, int, int, int]:
     """Superstep barrier, the round's only Spark job: materialise ``df``
     as a local checkpoint and return it with the round's message count,
-    volume and number of vertices changed in ``round_no``."""
+    volume and number of changed vertices."""
     obs = Observation()
     out = df.observe(
-        obs,
-        F.count(F.when(F.col("kind") == "m", 1)).alias("msgs"),
-        F.sum("size").alias("volume"),  # null on state rows
-        F.count(F.when(F.col("changed_round") == round_no, 1)).alias("changed"),
+        obs, *(F.sum(c).alias(c) for c in ("msgs", "volume", "changed"))
     ).localCheckpoint(eager=True)
     m = obs.get
     # A sum over no rows is null.
-    return out, m["msgs"], m["volume"] or 0, m["changed"]
+    return out, m["msgs"] or 0, m["volume"] or 0, m["changed"] or 0
 
 
 def _free(checkpoint: DataFrame) -> None:
     """Unpersist the RDD behind a local checkpoint."""
     checkpoint._jdf.queryExecution().logical().rdd().unpersist(False)
+
+
+def get_spark(app: str) -> SparkSession:
+    """The project's local SparkSession, for the jobs and the tests.
+
+    Launch settings (read when the JVM starts, so only by the session
+    that starts it) come from ``PYSPARK_SUBMIT_ARGS`` if set, else from
+    ``SPARK_MASTER`` (default ``local[*]``) and ``SPARK_DRIVER_MEM``
+    (default 8g). Session settings: Arrow on, broadcast joins off so
+    joins exercise the shuffle path, and 16 shuffle partitions
+    (:meth:`SparkEngine.run` sets one per block for its supersteps).
+    """
+    os.environ.setdefault(
+        "PYSPARK_SUBMIT_ARGS",
+        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
+        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '8g')} "
+        "--conf spark.driver.host=127.0.0.1 "
+        "--conf spark.ui.enabled=false pyspark-shell",
+    )
+    spark = (
+        SparkSession.builder.appName(app)
+        .config("spark.sql.shuffle.partitions", 16)
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .getOrCreate()
+    )
+    spark.sparkContext.setLogLevel("ERROR")
+    return spark
 
 
 class SparkEngine:
@@ -219,47 +188,6 @@ class SparkEngine:
         """Free the adjacency checkpoint; the engine cannot run after."""
         _free(self._adj)
 
-    def _initial_state(
-        self, program: VertexProgram, attrs: dict[int, dict[str, Any]] | None
-    ) -> DataFrame:
-        part = self.partition
-        attrs = attrs or {}
-
-        def build(pdf: pd.DataFrame) -> pd.DataFrame:
-            rows = []
-            for row in pdf.itertuples(index=False):
-                vid = int(row.vid)
-                ctx = VertexCtx(
-                    vid=vid,
-                    in_nbrs=tuple(int(x) for x in row.in_nbrs),
-                    out_nbrs=tuple(int(x) for x in row.out_nbrs),
-                    attrs=attrs.get(vid, {}),
-                )
-                cons = [[int(c), part[int(c)]] for c in program.consumers(ctx)]
-                rows.append(
-                    {
-                        "kind": "s",
-                        "block": part[vid],
-                        "vid": vid,
-                        "src": None,
-                        "payload": None,
-                        "in_nbrs": json.dumps(list(ctx.in_nbrs)),
-                        "out_nbrs": json.dumps(list(ctx.out_nbrs)),
-                        "consumers": json.dumps(cons),
-                        "attrs": json.dumps(ctx.attrs),
-                        "value": json.dumps(None),
-                        "cache": json.dumps({}),
-                        "changed_round": 0,
-                        "self_active": False,
-                        "size": None,
-                    }
-                )
-            return _out_pdf(rows)
-
-        return self._adj.mapInPandas(
-            lambda it: (build(pdf) for pdf in it), _SCHEMA
-        )
-
     def run(
         self,
         program: VertexProgram,
@@ -270,33 +198,45 @@ class SparkEngine:
         if mode not in ("vertex", "block"):
             raise ValueError(f"unknown mode {mode!r}")
 
+        part = self.partition
+        attrs = attrs or {}
+
+        def route(it):
+            for pdf in it:
+                yield pdf.assign(block=pdf["vid"].map(part))
+
         def init_fn(pdf: pd.DataFrame) -> pd.DataFrame:
-            recs = _recs_from_pdf(pdf, program)
             bid = int(pdf["block"].iloc[0])
+            recs: dict[int, VRec] = {}
+            for row in pdf.itertuples(index=False):
+                vid = int(row.vid)
+                ctx = VertexCtx(
+                    vid=vid,
+                    in_nbrs=tuple(int(x) for x in row.in_nbrs),
+                    out_nbrs=tuple(int(x) for x in row.out_nbrs),
+                    attrs=attrs.get(vid, {}),
+                )
+                cons = tuple((c, part[c]) for c in program.consumers(ctx))
+                recs[vid] = VRec(ctx=ctx, block=bid, consumers=cons)
             msgs = init_block(bid, recs, program, mode)
-            return _out_pdf(_rows_from_recs(recs, program) + _msg_rows(msgs, program))
+            return _out_pdf(bid, recs, 0, msgs, program)
 
         def make_round_fn(round_no: int):
             # One positional parameter: Spark dispatches on arity and would
             # pass the grouping key first to a two-parameter function.
             def round_fn(pdf: pd.DataFrame) -> pd.DataFrame:
-                is_msg = pdf["kind"] == "m"
-                recs = _recs_from_pdf(pdf[~is_msg], program)
                 bid = int(pdf["block"].iloc[0])
-                incoming = [
-                    (
-                        int(m.vid),
-                        int(m.src),
-                        program.from_json_obj(json.loads(m.payload)),
-                    )
-                    for m in pdf[is_msg].itertuples(index=False)
-                ]
-                _, out_msgs = run_block_round(
+                recs: dict[int, VRec] = {}
+                incoming: list[tuple[int, int, Any]] = []
+                for kind, data in zip(pdf["kind"], pdf["data"]):
+                    if kind == "s":
+                        recs = pickle.loads(data)
+                    else:
+                        incoming += pickle.loads(data)
+                changed, out_msgs = run_block_round(
                     bid, recs, incoming, program, mode, round_no
                 )
-                return _out_pdf(
-                    _rows_from_recs(recs, program) + _msg_rows(out_msgs, program)
-                )
+                return _out_pdf(bid, recs, len(changed), out_msgs, program)
 
             return round_fn
 
@@ -306,9 +246,12 @@ class SparkEngine:
         stats = RunStats()
         out = None
         try:
-            state0 = self._initial_state(program, attrs)
+            adj = self._adj.mapInPandas(
+                route,
+                "vid long, in_nbrs array<long>, out_nbrs array<long>, block long",
+            )
             out, n_msgs, vol, _ = _barrier(
-                state0.groupBy("block").applyInPandas(init_fn, _SCHEMA), 0
+                adj.groupBy("block").applyInPandas(init_fn, _SCHEMA)
             )
             stats.msgs_per_round.append(n_msgs)
             stats.changed_per_round.append(0)
@@ -317,7 +260,7 @@ class SparkEngine:
             for r in range(1, max_rounds + 1):
                 prev = out
                 out, n_msgs, vol, n_changed = _barrier(
-                    prev.groupBy("block").applyInPandas(make_round_fn(r), _SCHEMA), r
+                    prev.groupBy("block").applyInPandas(make_round_fn(r), _SCHEMA)
                 )
                 _free(prev)
                 stats.msgs_per_round.append(n_msgs)
@@ -332,10 +275,10 @@ class SparkEngine:
                 )
 
             values: dict[int, Any] = {}
-            final = out.where(F.col("kind") == "s")
-            for row in final.select("vid", "value", "changed_round").collect():
-                values[row["vid"]] = program.from_json_obj(json.loads(row["value"]))
-                stats.converge_round[row["vid"]] = row["changed_round"]
+            for row in out.where(F.col("kind") == "s").select("data").collect():
+                for vid, rec in pickle.loads(row["data"]).items():
+                    values[vid] = rec.value
+                    stats.converge_round[vid] = rec.changed_round
             return values, stats
         finally:
             if out is not None:

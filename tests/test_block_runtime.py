@@ -148,7 +148,11 @@ def test_non_monotone_program_guard():
             return 1 - value
 
     eng = LocalEngine([(1, 2), (2, 1)])
-    with pytest.raises(RuntimeError):
+    with pytest.raises(
+        RuntimeError,
+        match=r"^Oscillator \(block mode\): block 0 did not converge "
+        r"locally in round 1$",
+    ):
         eng.run(Oscillator(), mode="block", max_rounds=50)
 
 

@@ -187,6 +187,7 @@ def test_n_order_big_sentinels_match_bruteforce(in_pairs, out_pairs, data):
 
 @given(hub_lists, hub_lists)
 def test_n_order_returns_python_ints(in_pairs, out_pairs):
-    """Values go through ``json.dumps`` on the Spark engine."""
+    """Values are pickled into the Spark engine's block state and
+    returned to callers: plain ints, not numpy scalars, on both engines."""
     for k, l in n_order_d_index(in_pairs, out_pairs):
         assert type(k) is int and type(l) is int

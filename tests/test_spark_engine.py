@@ -8,8 +8,15 @@ Graphs are kept small — every superstep is a real Spark job."""
 import pytest
 
 from repro.baseline.peeling import peel_decompose
-from repro.core.anchored import HIndexProgram, anchored_to_skyline
+from repro.core.anchored import (
+    HIndexProgram,
+    LUppProgram,
+    RefineProgram,
+    anchored_to_skyline,
+    neighbor_attr_map,
+)
 from repro.core.decompose import decompose
+from repro.core.skyline import SkylineProgram
 from repro.framework.block_runtime import VertexProgram
 from repro.framework.engine import SparkEngine
 from repro.framework.local_engine import LocalEngine
@@ -53,6 +60,43 @@ def test_hindex_program_engine_invariance(spark_engine, mode, direction):
     assert ss.rounds == ls.rounds
     assert ss.msgs_per_round == ls.msgs_per_round
     assert ss.changed_per_round == ls.changed_per_round
+
+
+@pytest.fixture(scope="module")
+def phase_inputs():
+    """Each array/skyline program with the attrs its phase driver passes:
+    ``nbr_kmax`` keyed by int vid, ``init_pair`` as a list."""
+    local = LocalEngine(EDGES, PART)
+    kmax, _ = local.run(HIndexProgram("in"))
+    lmax, _ = local.run(HIndexProgram("out"))
+    nbr_kmax = neighbor_attr_map(local.in_nbrs, local.out_nbrs, kmax)
+    attrs2 = {v: {"kmax": kmax[v], "nbr_kmax": nbr_kmax[v]} for v in kmax}
+    lupp, _ = local.run(LUppProgram(), attrs=attrs2)
+    attrs3 = {v: dict(attrs2[v], lupp=lupp[v]) for v in kmax}
+    return {
+        "lupp": (LUppProgram(), attrs2),
+        "refine": (RefineProgram(), attrs3),
+        "skyline": (
+            SkylineProgram(),
+            {v: {"init_pair": [kmax[v], lmax[v]]} for v in kmax},
+        ),
+    }
+
+
+@pytest.mark.parametrize("mode", ["vertex", "block"])
+@pytest.mark.parametrize("name", ["lupp", "refine", "skyline"])
+def test_program_values_engine_invariance(spark_engine, phase_inputs, name, mode):
+    """Raw engine values, not passed through ``skyline()``, equal the
+    reference engine's: an l-array stays a list of ints and a skyline a
+    list of (k, l) tuples through the Spark supersteps."""
+    prog, attrs = phase_inputs[name]
+    sv, ss = spark_engine.run(prog, mode=mode, attrs=attrs)
+    lv, ls = LocalEngine(EDGES, PART).run(prog, mode=mode, attrs=attrs)
+    assert sv == lv
+    assert ss.msgs_per_round == ls.msgs_per_round
+    assert ss.changed_per_round == ls.changed_per_round
+    assert ss.volume_per_round == ls.volume_per_round
+    assert ss.converge_round == ls.converge_round
 
 
 @pytest.mark.parametrize("algo,mode", [
